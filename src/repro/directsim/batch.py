@@ -5,7 +5,8 @@ p) cell; :class:`~repro.directsim.simulator.DirectSimulator` executes
 each replication through a pure-Python heap loop with one RNG draw and
 one scheduler call per chunk — half a million Python iterations per SS
 replication at n = 524,288.  This module simulates all R replications of
-one cell in bulk NumPy operations instead, in three layers:
+one cell from bulk NumPy draws instead, without a scheduler call per
+chunk, in three layers:
 
 1. **Chunk-schedule precomputation** — for techniques whose chunk
    sequence is a pure function of ``(n, p, params)``
@@ -17,14 +18,45 @@ one cell in bulk NumPy operations instead, in three layers:
    chunk_times_batch` draws the whole ``(R, C)`` matrix of chunk times
    in one vectorised call per cell (Gamma for exponential, ``k * v``
    for constant, ...).
-3. **Vectorized worker assignment** — the heap is replaced by an
-   argmin-over-ready-times loop operating on the whole ``(R, p)`` ready
-   matrix at once.  Chunks are assigned in the same earliest-ready,
-   lowest-index order as the scalar simulator, so for deterministic
-   workloads the per-replication results are *identical* to
-   ``DirectSimulator`` and for stochastic workloads they are equal in
-   distribution (the scalar simulator remains the reference oracle; see
-   ``tests/test_batch_kernel.py``).
+3. **Worker assignment** — two kernels replay the scalar simulator's
+   earliest-ready, lowest-index assignment over the drawn matrix, and
+   :meth:`BatchDirectSimulator.run_batch` picks one per replication
+   block:
+
+   * the **lock-step kernel** replaces the heap with one argmin over
+     the whole ``(R, p)`` ready matrix per chunk, all replications at
+     once — cheap per replication when R is large;
+   * the **heap kernel** runs the scalar loop itself, one ``(ready,
+     worker)`` heap per replication over the pre-drawn row — no
+     per-chunk NumPy call overhead, so it wins when R is small.
+
+   Blocks of at most :data:`HEAP_MAX_REPS` (16) replications on an
+   unperturbed cell take the heap; everything else takes lock-step.
+   Measured µs per chunk at n = 8192, heap vs lock-step (2-vCPU x86-64):
+
+   ====  ===========  ===========  ===========
+   R     p = 2        p = 64       p = 1024
+   ====  ===========  ===========  ===========
+   1     0.6 vs 23    0.9 vs 22    1.3 vs 20
+   16    9.8 vs 21    14 vs 22     19 vs 19
+   32    17 vs 23     21.5 vs 23   27 vs 28
+   64    33 vs 25     38 vs 19     59 vs 32
+   ====  ===========  ===========  ===========
+
+   Both kernels take the same single ``chunk_times_batch`` draw per
+   block and perform the scalar float operations in the scalar order
+   (true division by the speed, then the overhead model's ``begin``,
+   then ``end = begin + elapsed``), with ``(time, worker)`` tie-breaking
+   — argmin's first occurrence equals the heap's order.  The kernel is
+   therefore invisible in the results: the two are bit-identical to
+   each other, per-replication results on deterministic workloads are
+   *identical* to ``DirectSimulator``, and on stochastic workloads they
+   are equal in distribution (the scalar simulator remains the
+   reference oracle; see ``tests/test_batch_kernel.py``).  Each result
+   names its kernel in ``stats.extra["kernel"]`` (``"heap"``,
+   ``"lockstep"`` or ``"stepping"``).  Perturbed cells stay on
+   lock-step: lognormal noise draws from the block RNG once per round,
+   which a per-replication loop would reorder.
 
 Techniques whose chunk sequence *cannot* be precomputed — the adaptive
 feedback loops (AWF family, AF, BOLD) and the worker-dependent
@@ -56,6 +88,7 @@ closed-form path keeps its log-free fast lane.
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Callable, Sequence
 
@@ -87,6 +120,16 @@ from .faults import (
 #: cap on R * C elements per simulated block (~128 MB of float64), so
 #: huge cells (SS at n = 524,288) stream through in replication blocks.
 DEFAULT_MAX_BLOCK_ELEMENTS = 1 << 24
+
+#: closed-form blocks of at most this many replications run the
+#: per-replication heap loop; larger blocks run the lock-step argmin
+#: kernel (the measured crossover lies between 16 and 32 replications;
+#: see the table in the module docstring)
+HEAP_MAX_REPS = 16
+
+#: the heap loop converts a replication's draws to Python floats this
+#: many at a time, so a 524,288-chunk SS row never lives as one list
+_HEAP_SLICE = 1 << 12
 
 #: the stepping path holds ~this many (R, p) state arrays alive at once
 #: (kernel counters plus the technique state), so its replication blocks
@@ -282,7 +325,8 @@ class BatchDirectSimulator:
         self.fluctuation = fluctuation
         # None for a clean system, so the kernels' per-round perturbation
         # branches reduce to one ``is None`` check (scenario=None is a
-        # no-op on the hot path — BENCH_PR8.json guards this).
+        # no-op on the hot path — perfbench's figures-quick workload,
+        # whose cells are all unperturbed, guards this).
         self._perturb: _PerturbationArrays | None = None
         if failures is not None or fluctuation is not None:
             self._perturb = _PerturbationArrays(
@@ -299,7 +343,9 @@ class BatchDirectSimulator:
 
         ``scheduler`` may be a fresh instance or a factory, exactly as
         for :meth:`DirectSimulator.run`.  Closed-form techniques take
-        the schedule-precomputation path; feedback-loop techniques with
+        the schedule-precomputation path — the heap kernel for blocks
+        of at most :data:`HEAP_MAX_REPS` unperturbed replications, the
+        lock-step kernel otherwise; feedback-loop techniques with
         a registered stepping state take the lock-step round kernel
         (the instance then serves as the never-mutated prototype its
         batched state is built from).  All replications share one RNG
@@ -332,7 +378,16 @@ class BatchDirectSimulator:
             block = max(1, self.max_block_elements // max(1, sizes.size))
             while done < reps:
                 r = min(block, reps - done)
-                results.extend(self._run_block(label, starts, sizes, r, rng))
+                # Both kernels consume the RNG identically (one
+                # chunk_times_batch draw per block) and produce
+                # bit-identical results; only their cost differs.
+                # Perturbed cells stay on lock-step: lognormal noise
+                # draws from the block RNG once per round.
+                if r <= HEAP_MAX_REPS and self._perturb is None:
+                    kernel = self._run_heap_block
+                else:
+                    kernel = self._run_block
+                results.extend(kernel(label, starts, sizes, r, rng))
                 done += r
         elif stepping_supported(scheduler):
             block = max(
@@ -412,22 +467,109 @@ class BatchDirectSimulator:
             counts[rows, w] += 1
             np.maximum(makespan, end, out=makespan)
 
-        total = task_times.sum(axis=1)
+        return self._closed_form_results(
+            label, num_chunks, makespan.tolist(), compute.tolist(),
+            counts.tolist(), task_times, t_wall, "lockstep",
+        )
+
+    def _run_heap_block(
+        self,
+        label: str,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        reps: int,
+        rng: np.random.Generator,
+    ) -> list[RunResult]:
+        """The closed-form block as one ``(ready, worker)`` heap loop per
+        replication — the scalar simulator's loop over pre-drawn times.
+
+        Draws exactly what :meth:`_run_block` draws and performs the
+        scalar ``DirectSimulator``'s float operations in its order, so
+        the two kernels are bit-identical; it wins where the lock-step
+        kernel's per-chunk NumPy overhead is paid for only a few
+        replications (see :data:`HEAP_MAX_REPS`).
+        """
+        t_wall = time.perf_counter()
+        p = self.params.p
+        h = self.params.h
+        model = self.overhead_model
+        per_worker = model is OverheadModel.PER_WORKER
+        serialized = model is OverheadModel.SERIALIZED_MASTER
+        num_chunks = sizes.size
+        speeds = self.speeds.tolist()
+        start_times = self.start_times.tolist()
+
+        task_times = self.workload.chunk_times_batch(starts, sizes, reps, rng)
+
+        heapreplace = heapq.heapreplace
+        makespans: list[float] = []
+        computes: list[list[float]] = []
+        counts_all: list[list[int]] = []
+        for r in range(reps):
+            # One entry per worker, (time, worker) ordered: ties break
+            # toward the lowest worker index, like the lock-step argmin.
+            ready = [(start_times[w], w) for w in range(p)]
+            heapq.heapify(ready)
+            compute = [0.0] * p
+            counts = [0] * p
+            makespan = 0.0
+            master_free = 0.0
+            row = task_times[r]
+            for lo in range(0, num_chunks, _HEAP_SLICE):
+                for x in row[lo:lo + _HEAP_SLICE].tolist():
+                    t, w = ready[0]
+                    elapsed = x / speeds[w]
+                    if per_worker:
+                        begin = t + h
+                    elif serialized:
+                        master_free = max(master_free, t) + h
+                        begin = master_free
+                    else:  # POST_HOC
+                        begin = t
+                    end = begin + elapsed
+                    heapreplace(ready, (end, w))
+                    compute[w] += elapsed
+                    counts[w] += 1
+                    if end > makespan:
+                        makespan = end
+            makespans.append(makespan)
+            computes.append(compute)
+            counts_all.append(counts)
+
+        return self._closed_form_results(
+            label, num_chunks, makespans, computes, counts_all, task_times,
+            t_wall, "heap",
+        )
+
+    def _closed_form_results(
+        self,
+        label: str,
+        num_chunks: int,
+        makespans: list[float],
+        computes: list[list[float]],
+        counts: list[list[int]],
+        task_times: np.ndarray,
+        t_wall: float,
+        kernel: str,
+    ) -> list[RunResult]:
+        reps = len(makespans)
+        total = task_times.sum(axis=1).tolist()
         # Each replication carries its share of the block's wall time;
         # ``events`` is the chunk-assignment count, as on the scalar path.
         wall_share = (time.perf_counter() - t_wall) / reps
+        p = self.params.p
         return [
             RunResult(
                 technique=label,
                 n=self.params.n,
                 p=p,
-                h=h,
-                overhead_model=model,
-                makespan=float(makespan[r]),
-                compute_times=compute[r].tolist(),
-                chunks_per_worker=counts[r].tolist(),
+                h=self.params.h,
+                overhead_model=self.overhead_model,
+                makespan=makespans[r],
+                compute_times=computes[r],
+                chunks_per_worker=counts[r],
                 num_chunks=num_chunks,
-                total_task_time=float(total[r]),
+                total_task_time=total[r],
                 extras={"lost_chunks": 0, "lost_tasks": 0},
                 stats=RunStats(
                     fast_path=True,
@@ -435,7 +577,7 @@ class BatchDirectSimulator:
                     heap_peak=p,
                     live_peak=p,
                     wall_time=wall_share,
-                    extra={"block_reps": reps},
+                    extra={"block_reps": reps, "kernel": kernel},
                 ),
             )
             for r in range(reps)
@@ -679,7 +821,7 @@ class BatchDirectSimulator:
                     heap_peak=p,
                     live_peak=p,
                     wall_time=wall_share,
-                    extra={"block_reps": reps},
+                    extra={"block_reps": reps, "kernel": "stepping"},
                 ),
             )
             for r in range(reps)

@@ -471,6 +471,13 @@ def _journal_task_record(
     :class:`~repro.obs.stats.RunStats` over all its replications."""
     stats = [r.stats for r in results if r.stats is not None]
     backend = next((s.backend for s in stats if s.backend), task.simulator)
+    # replications per batch kernel ("heap", "lockstep", "stepping");
+    # empty for backends that report none
+    kernels: dict[str, int] = {}
+    for s in stats:
+        kernel = s.extra.get("kernel")
+        if kernel is not None:
+            kernels[kernel] = kernels.get(kernel, 0) + 1
     record = {
         "kind": "task",
         "technique": task.technique,
@@ -483,6 +490,7 @@ def _journal_task_record(
         "wall_time_s": sum(s.wall_time for s in stats),
         "events": sum(s.events for s in stats),
         "fast_path_runs": sum(1 for s in stats if s.fast_path),
+        "kernels": kernels,
         "seed_entropy": list(task.seed_entropy) or None,
     }
     if task.scenario is not None:

@@ -19,7 +19,8 @@ Record schema (see ``docs/observability.md`` for the full table):
     environment snapshot, always the first line.
 ``{"kind": "task", "technique": ..., "n": ..., "p": ...,
 "requested": ..., "backend": ..., "runs": ..., "wall_time_s": ...,
-"events": ..., "fast_path_runs": ..., "seed_entropy": [...]}``
+"events": ..., "fast_path_runs": ..., "kernels": {...},
+"seed_entropy": [...]}``
     one executed task (all its replications aggregated).
 ``{"kind": "fallback", "task": ..., "requested": ..., "chosen": ...,
 "reason": ...}``

@@ -107,6 +107,18 @@ def summarize_journal(
                 f"{int(agg['events']):>12d} {rate:>10.0f}"
             )
 
+        kernels: dict[str, int] = {}
+        for record in tasks:
+            for kernel, runs in (record.get("kernels") or {}).items():
+                kernels[kernel] = kernels.get(kernel, 0) + runs
+        if kernels:
+            lines.append(
+                "kernels: " + ", ".join(
+                    f"{kernel} x{kernels[kernel]}"
+                    for kernel in sorted(kernels)
+                ) + " (replications per batch kernel)"
+            )
+
         slowest = sorted(
             tasks, key=lambda r: r.get("wall_time_s", 0.0), reverse=True
         )[:top]

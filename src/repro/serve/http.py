@@ -49,6 +49,10 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: AdvisorHTTPServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply goes out as two sends (headers, then body),
+    # and on a keep-alive connection Nagle would hold the body back
+    # until the client's delayed ACK of the headers, ~40 ms per answer.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
     def log_message(self, format: str, *args) -> None:

@@ -13,7 +13,9 @@ from repro.directsim import (
     BatchDirectSimulator,
     BatchScheduleUnavailableError,
     DirectSimulator,
+    LognormalFluctuation,
     OverheadModel,
+    StepFluctuation,
     batch_supported,
 )
 from repro.experiments.bold_experiments import scheduling_params
@@ -123,6 +125,137 @@ class TestKernelIdentity:
             pr, workload, max_block_elements=1
         ).run_batch(factory, 5, seed=1)
         assert [r.makespan for r in one] == [r.makespan for r in tiny]
+
+
+def _observables(result):
+    return (
+        result.makespan, result.compute_times, result.chunks_per_worker,
+        result.num_chunks, result.total_task_time,
+    )
+
+
+def _kernels(results):
+    return {r.stats.extra["kernel"] for r in results}
+
+
+class TestHeapKernel:
+    """Small closed-form blocks run a per-replication heap loop instead
+    of the lock-step argmin kernel; the two are bit-identical on the same
+    RNG, and the block size alone picks between them."""
+
+    SPEEDS = [1.0, 2.0, 0.5, 1.5, 3.0]
+    STARTS = [0.0, 3.0, 1.0, 0.0, 0.5]
+
+    def simulator(self, workload, model=OverheadModel.POST_HOC, **kwargs):
+        return BatchDirectSimulator(
+            params(n=389, p=5), workload, overhead_model=model,
+            speeds=self.SPEEDS, start_times=self.STARTS, **kwargs,
+        )
+
+    @pytest.mark.parametrize("name", BATCHABLE)
+    @pytest.mark.parametrize("model", list(OverheadModel))
+    @pytest.mark.parametrize(
+        "workload", [ConstantWorkload(1.0), ExponentialWorkload(1.0)],
+        ids=lambda w: type(w).__name__,
+    )
+    def test_heap_equals_lockstep(self, name, model, workload):
+        from repro.core.schedule import precompute_schedule
+
+        sim = self.simulator(workload, model)
+        sched = precompute_schedule(get_technique(name)(sim.params))
+        args = (sched.label, sched.starts, sched.sizes, 4)
+        heap = sim._run_heap_block(*args, make_rng(7))
+        lockstep = sim._run_block(*args, make_rng(7))
+        assert _kernels(heap) == {"heap"}
+        assert _kernels(lockstep) == {"lockstep"}
+        assert [_observables(r) for r in heap] == [
+            _observables(r) for r in lockstep
+        ]
+
+    @pytest.mark.parametrize("name", BATCHABLE)
+    @pytest.mark.parametrize("model", list(OverheadModel))
+    def test_heap_equals_scalar_on_constant_workload(self, name, model):
+        workload = ConstantWorkload(1.0)
+        factory = get_technique(name)
+        want = DirectSimulator(
+            params(n=389, p=5), workload, overhead_model=model,
+            speeds=self.SPEEDS, start_times=self.STARTS,
+        ).run(factory, seed=0)
+        got = self.simulator(workload, model).run_batch(factory, 2, seed=0)
+        assert _kernels(got) == {"heap"}
+        for r in got:
+            assert _observables(r) == _observables(want)
+
+    @pytest.mark.parametrize("reps,kernel", [
+        (1, "heap"), (16, "heap"), (17, "lockstep"), (64, "lockstep"),
+    ])
+    def test_block_size_picks_the_kernel(self, reps, kernel):
+        from repro.directsim.batch import HEAP_MAX_REPS
+
+        assert HEAP_MAX_REPS == 16
+        got = self.simulator(ExponentialWorkload(1.0)).run_batch(
+            get_technique("fac2"), reps, seed=3
+        )
+        assert _kernels(got) == {kernel}
+        assert {r.stats.extra["block_reps"] for r in got} == {reps}
+
+    @pytest.mark.parametrize(
+        "workload", [ConstantWorkload(1.0), ExponentialWorkload(1.0)],
+        ids=lambda w: type(w).__name__,
+    )
+    def test_streamed_heap_blocks_equal_one_lockstep_block(self, workload):
+        """20 reps as heap blocks of 7 + 7 + 6 replay the one 20-rep
+        lock-step block draw for draw."""
+        from repro.core.schedule import precompute_schedule
+
+        factory = get_technique("gss")
+        sim = self.simulator(workload)
+        num_chunks = precompute_schedule(factory(sim.params)).sizes.size
+        one = sim.run_batch(factory, 20, seed=1)
+        streamed = self.simulator(
+            workload, max_block_elements=7 * num_chunks
+        ).run_batch(factory, 20, seed=1)
+        assert _kernels(one) == {"lockstep"}
+        assert _kernels(streamed) == {"heap"}
+        assert [r.stats.extra["block_reps"] for r in streamed] == (
+            [7] * 14 + [6] * 6
+        )
+        assert [_observables(r) for r in streamed] == [
+            _observables(r) for r in one
+        ]
+
+    @pytest.mark.parametrize("fluctuation", [
+        StepFluctuation({1: (2.0, 0.5)}),
+        LognormalFluctuation(0.3),
+        LognormalFluctuation(0.0),
+    ], ids=["step", "lognormal", "lognormal-zero"])
+    def test_perturbed_cells_never_take_the_heap(self, fluctuation):
+        got = self.simulator(
+            ExponentialWorkload(1.0), fluctuation=fluctuation
+        ).run_batch(get_technique("fac2"), 3, seed=2)
+        assert _kernels(got) == {"lockstep"}
+
+    def test_stepping_blocks_are_labelled(self):
+        got = self.simulator(ExponentialWorkload(1.0)).run_batch(
+            get_technique("awf"), 3, seed=2
+        )
+        assert _kernels(got) == {"stepping"}
+
+    def test_paper_scale_sweep_stays_on_lockstep(self):
+        """R = 1000 reaches the kernel as 15 blocks of 64 plus one of 40,
+        all above the heap threshold."""
+        task = RunTask(
+            technique="ss",
+            params=scheduling_params(16, 2),
+            workload=ExponentialWorkload(1.0),
+            simulator="direct-batch",
+        )
+        got = run_replicated(task, 1000, campaign_seed=4, processes=1)
+        assert len(got) == 1000
+        assert _kernels(got) == {"lockstep"}
+        block_reps = [r.stats.extra["block_reps"] for r in got]
+        assert sorted(set(block_reps)) == [40, 64]
+        assert block_reps.count(40) == 40
 
 
 class TestKernelDistribution:

@@ -165,6 +165,23 @@ class TestJournal:
         assert [r["technique"] for r in task_records] == ["fac2", "gss"]
         assert [r["seed_entropy"] for r in task_records] == [[1], [2]]
 
+    def test_task_record_counts_replications_per_kernel(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with journal_to(path):
+            # 70 runs: one 64-run lock-step block plus a 6-run heap block
+            run_replicated(
+                small_task(simulator="direct-batch"), 70, campaign_seed=1
+            )
+            run_replicated(
+                small_task(technique="awf", simulator="direct-batch"), 2,
+                campaign_seed=1,
+            )
+            run_replicated(small_task(), 2, campaign_seed=1)
+        tasks = [r for r in load_journal(path) if r["kind"] == "task"]
+        assert [r["kernels"] for r in tasks] == [
+            {"lockstep": 64, "heap": 6}, {"stepping": 2}, {},
+        ]
+
     def test_fallback_recorded_in_journal(self, tmp_path):
         # awf is adaptive: msg-fast cannot serve it and degrades to msg.
         path = tmp_path / "journal.jsonl"
@@ -238,6 +255,30 @@ class TestStatsSummary:
             "fallbacks: none — every task ran on its requested backend"
             in text
         )
+
+    def test_summary_kernels_line(self):
+        records = [
+            {"kind": "task", "backend": "direct-batch", "runs": 70,
+             "wall_time_s": 0.1, "events": 20,
+             "kernels": {"lockstep": 64, "heap": 6}},
+            {"kind": "task", "backend": "direct-batch", "runs": 5,
+             "wall_time_s": 0.1, "events": 20, "kernels": {"heap": 5}},
+            {"kind": "task", "backend": "msg-fast", "runs": 2,
+             "wall_time_s": 0.1, "events": 20, "kernels": {}},
+        ]
+        lines = summarize_journal(records).splitlines()
+        kernel_lines = [ln for ln in lines if ln.startswith("kernels:")]
+        assert kernel_lines == [
+            "kernels: heap x11, lockstep x64 "
+            "(replications per batch kernel)"
+        ]
+
+    def test_summary_without_kernels_omits_the_line(self):
+        records = [
+            {"kind": "task", "backend": "msg", "runs": 1,
+             "wall_time_s": 0.1, "events": 10},
+        ]
+        assert "kernels:" not in summarize_journal(records)
 
     def test_summary_without_tasks_omits_fallback_line(self):
         text = summarize_journal([{"kind": "provenance"}])

@@ -345,6 +345,46 @@ def test_http_metrics_exposition(server):
     assert "repro_serve_cache_hit_rate 0.5" in text
 
 
+def test_http_handler_disables_nagle():
+    """Replies leave in two sends (headers, body); with Nagle on, every
+    keep-alive answer waits for the client's delayed ACK."""
+    from repro.serve.http import _Handler
+
+    assert _Handler.disable_nagle_algorithm is True
+
+
+def test_http_keep_alive_round_trip(server):
+    """Several requests share one persistent connection, and none of
+    them waits on the delayed-ACK timer (~40 ms each on Linux)."""
+    import http.client
+    import time
+
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=30
+    )
+    try:
+        conn.request("GET", "/healthz")
+        first = conn.getresponse()
+        assert first.status == 200
+        assert json.loads(first.read()) == {"status": "ok"}
+        sock = conn.sock
+        for _ in range(3):
+            conn.request("POST", "/advise", body=json.dumps(QUICK),
+                         headers={"Content-Type": "application/json"})
+            answer = conn.getresponse()
+            assert answer.status == 200
+            assert json.loads(answer.read())["best"]
+        assert conn.sock is sock  # no reconnect between requests
+        start = time.perf_counter()
+        for _ in range(10):
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+        assert time.perf_counter() - start < 0.35
+        assert conn.sock is sock
+    finally:
+        conn.close()
+
+
 def test_cli_serve_parser_defaults():
     from repro.cli import build_parser
 
