@@ -1,23 +1,31 @@
 """Task execution time distributions (Figure 2: "Task Execution Times").
 
 A :class:`Workload` produces the execution times of tasks ``start ..
-start+size-1``.  Three access paths exist:
+start+size-1``.  Four access paths exist:
 
 * :meth:`Workload.sample` — per-task times (faithful path);
 * :meth:`Workload.chunk_times_batch` — an ``(reps, C)`` matrix of chunk
-  sums for a whole replication batch in one vectorised draw.  This is the
-  *single* closed-form dispatch point: distributions with an exact
-  closed-form sum override it (constant → ``k * value``; exponential →
-  ``Gamma(k, mean)``), which is statistically identical and faster.
-* :meth:`Workload.chunk_time` — the sum of one chunk's task times; it
-  delegates to :meth:`chunk_times_batch` with ``reps=1``, so the scalar
-  and batch paths share one implementation (no duplicated closed forms).
-  For the closed-form distributions the delegated draw consumes the RNG
-  stream identically to a scalar draw, so seeded results are unchanged.
+  sums for a whole replication batch (the closed-form kernels);
+* :meth:`Workload.chunk_times_round` — one chunk sum per ``(start,
+  size)`` pair (one round of the stepping kernel);
+* :meth:`Workload.chunk_time` — the sum of one chunk's task times (the
+  scalar simulators).
 
-The scalar/batch equivalence is property-tested in
-``tests/test_batch_kernel.py`` and ``tests/test_distributions.py``, and
-the speed difference is measured by the ablation benchmarks.
+Distributions with an exact closed-form sum override the draw paths:
+constant → ``k * value``; exponential → ``Gamma(k, mean)``; gamma →
+``Gamma(k a, theta)``; linear and trace → exact sums of their known task
+times.  The closed forms live in two methods per class — the bulk
+``chunk_times_batch``/``chunk_times_round`` pair and the scalar
+``chunk_time`` — and ``tests/test_distributions.py`` pins them equal
+value for value, with equal generator state afterwards.
+
+Every path is bulk.  Per-task workloads draw ``sample`` for a slab of up
+to :data:`_SLAB` values at a time, in chunk order, and sum each chunk with
+:func:`_chunk_sums`.  NumPy ``Generator`` draws are sequential, so a slab
+draw consumes the same stream as one draw per chunk, and the row sums are
+NumPy's pairwise sums, bit-identical to each chunk's own ``.sum()``.  Only
+a position-dependent workload without closed forms (``PerTaskSampling``
+of a linear or trace workload) is sampled chunk by chunk.
 
 Stationary workloads ignore ``start``; the position-dependent ones
 (increasing, decreasing, trace) use it, which is why chunk boundaries are
@@ -46,6 +54,54 @@ def _validate_batch(
     if int(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     return starts, sizes, int(reps)
+
+
+#: Values drawn, generated or gathered per step of the bulk paths.  It
+#: amortises the per-call cost of NumPy while keeping every temporary
+#: small; only a single chunk larger than this is handled in one piece.
+_SLAB = 4096
+
+
+def _slabs(counts: np.ndarray):
+    """Split items into consecutive runs of at most :data:`_SLAB` values.
+
+    ``counts[i]`` is the number of values item ``i`` needs.  Yields ``(i,
+    j, m)``: items ``i .. j-1`` need ``m`` values in total.  A run holds at
+    least one item, so an item larger than the slab stands alone.
+    """
+    ends = np.cumsum(counts)
+    i, n = 0, counts.size
+    while i < n:
+        base = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, base + _SLAB, side="right")))
+        yield i, j, int(ends[j - 1]) - base
+        i = j
+
+
+def _chunk_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-chunk sums of ``values``, laid out chunk after chunk.
+
+    Chunk ``i`` holds the next ``sizes[i] >= 1`` values.  The chunks of
+    each size ``k`` are gathered into a ``(rows, k)`` block and summed
+    along axis 1: NumPy's pairwise summation row by row, bit-identical to
+    each chunk's own 1-D ``.sum()``.  A 1-task chunk's sum is the value.
+    """
+    k = int(sizes[0])
+    if (sizes == k).all():
+        return values if k == 1 else values.reshape(-1, k).sum(axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order]
+    bounds = (np.flatnonzero(np.diff(ordered)) + 1).tolist()
+    out = np.empty(sizes.size, dtype=np.float64)
+    for lo, hi in zip([0] + bounds, bounds + [sizes.size]):
+        k, rows = int(ordered[lo]), order[lo:hi]
+        first = offsets[rows]
+        if k == 1:
+            out[rows] = values[first]
+        else:
+            out[rows] = values[first[:, None] + np.arange(k)].sum(axis=1)
+    return out
 
 
 class Workload(ABC):
@@ -78,14 +134,13 @@ class Workload(ABC):
     def chunk_time(self, start: int, size: int, rng: np.random.Generator) -> float:
         """Total execution time of a chunk (sum of its task times).
 
-        Delegates to :meth:`chunk_times_batch` with a single replication
-        so both paths share one closed-form dispatch.
+        The default sums :meth:`sample`; distributions with a closed-form
+        chunk sum override it with one scalar draw or product, equal value
+        for value to their bulk paths.
         """
         if size <= 0:
             return 0.0
-        starts = np.asarray([start], dtype=np.int64)
-        sizes = np.asarray([size], dtype=np.int64)
-        return float(self.chunk_times_batch(starts, sizes, 1, rng)[0, 0])
+        return float(self.sample(start, size, rng).sum())
 
     def chunk_times_batch(
         self,
@@ -98,26 +153,38 @@ class Workload(ABC):
 
         Returns an ``(reps, C)`` array whose column ``c`` holds ``reps``
         independent draws of the total time of the chunk ``(starts[c],
-        sizes[c])``.  The default draws per-task times through
-        :meth:`sample` and sums them (the faithful path); distributions
-        with an exact closed-form sum override this method, and the
-        scalar :meth:`chunk_time` inherits the closed form through
-        delegation.
+        sizes[c])``; an empty chunk takes 0.  The default draws per-task
+        times through :meth:`sample` in column order — column ``c``'s
+        ``reps`` chunks, then column ``c + 1``'s — one slab of whole
+        columns per call, and sums them with :func:`_chunk_sums`.  The
+        values and the generator state afterwards equal a :meth:`chunk_time`
+        call per column and replication.  Distributions with an exact
+        closed-form sum override this method.
         """
         starts, sizes, reps = _validate_batch(starts, sizes, reps)
         out = np.zeros((reps, sizes.size), dtype=np.float64)
-        for c, (st, sz) in enumerate(zip(starts, sizes)):
-            st, sz = int(st), int(sz)
-            if sz <= 0:
-                continue
-            if self.position_dependent:
+        cols = np.flatnonzero(sizes > 0)
+        if self.position_dependent:
+            # No closed form and no shared stream position: chunk by chunk.
+            for c in cols.tolist():
+                st, sz = int(starts[c]), int(sizes[c])
                 for r in range(reps):
                     out[r, c] = float(self.sample(st, sz, rng).sum())
-            else:
-                # Stationary: one draw of reps*size task times fills the
-                # column; element order matches reps successive draws.
-                flat = self.sample(st, sz * reps, rng)
-                out[:, c] = flat.reshape(reps, sz).sum(axis=1)
+            return out
+        ks = sizes[cols]
+        for i, j, m in _slabs(ks * reps):
+            if m <= _SLAB:
+                flat = self.sample(0, m, rng)
+                sums = _chunk_sums(flat, np.repeat(ks[i:j], reps))
+                out[:, cols[i:j]] = sums.reshape(j - i, reps).T
+                continue
+            # One column over the slab: draw it a few replications at a time.
+            k = int(ks[i])
+            step = max(1, _SLAB // k)
+            for r in range(0, reps, step):
+                rows = min(step, reps - r)
+                flat = self.sample(0, rows * k, rng)
+                out[r:r + rows, cols[i]] = flat.reshape(rows, k).sum(axis=1)
         return out
 
     def chunk_times_round(
@@ -132,16 +199,11 @@ class Workload(ABC):
         (:mod:`repro.directsim.batch`): one scheduling round needs one
         draw per live replication, for replication-specific chunks — a
         ``(K,)`` vector rather than :meth:`chunk_times_batch`'s
-        ``(reps, C)`` matrix.  The default loops over
-        :meth:`chunk_time`; distributions with a closed-form chunk sum
-        override it with one vectorised draw.
+        ``(reps, C)`` matrix.  It is that matrix's single row: one bulk
+        draw for all ``K`` pairs, equal to a :meth:`chunk_time` call per
+        pair.  Distributions with a closed-form chunk sum override it.
         """
-        starts = np.asarray(starts, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        out = np.empty(starts.size, dtype=np.float64)
-        for k in range(starts.size):
-            out[k] = self.chunk_time(int(starts[k]), int(sizes[k]), rng)
-        return out
+        return self.chunk_times_batch(starts, sizes, 1, rng)[0]
 
     def serial_time(self, n: int) -> float:
         """Expected serial execution time of ``n`` tasks."""
@@ -175,6 +237,9 @@ class ConstantWorkload(Workload):
     def sample(self, start, size, rng) -> np.ndarray:
         return np.full(size, self.value)
 
+    def chunk_time(self, start, size, rng) -> float:
+        return float(size) * self.value if size > 0 else 0.0
+
     def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
         starts, sizes, reps = _validate_batch(starts, sizes, reps)
         # Exact: a chunk of k tasks always takes k * value seconds.  The
@@ -205,6 +270,10 @@ class ExponentialWorkload(Workload):
 
     def sample(self, start, size, rng) -> np.ndarray:
         return rng.exponential(self._mean, size=size)
+
+    def chunk_time(self, start, size, rng) -> float:
+        # The scalar twin of chunk_times_batch's Gamma(k, mean) draw.
+        return float(rng.gamma(float(size), self._mean)) if size > 0 else 0.0
 
     def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
         # Sum of k iid Exp(mean) is Gamma(k, mean): one draw per chunk,
@@ -283,6 +352,11 @@ class GammaWorkload(Workload):
     def sample(self, start, size, rng) -> np.ndarray:
         return rng.gamma(self.shape, self.scale, size=size)
 
+    def chunk_time(self, start, size, rng) -> float:
+        if size <= 0:
+            return 0.0
+        return float(rng.gamma(self.shape * float(size), self.scale))
+
     def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
         # Sum of k iid Gamma(a, theta) is Gamma(k a, theta): exact.
         starts, sizes, reps = _validate_batch(starts, sizes, reps)
@@ -350,33 +424,50 @@ class LinearWorkload(Workload):
     def std(self) -> float:
         return abs(self.last - self.first) / math.sqrt(12.0)
 
-    def _times(self, start: int, size: int) -> np.ndarray:
-        idx = np.arange(start, start + size, dtype=np.float64)
+    def _times_at(self, idx: np.ndarray) -> np.ndarray:
+        """Times of the tasks at the (float) indices ``idx``, elementwise."""
         if self.n == 1:
-            return np.full(size, self.first)
+            return np.full(idx.size, self.first)
         frac = np.clip(idx / (self.n - 1), 0.0, 1.0)
         return self.first + (self.last - self.first) * frac
+
+    def _times(self, start: int, size: int) -> np.ndarray:
+        return self._times_at(np.arange(start, start + size, dtype=np.float64))
+
+    def _chunk_row(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Exact per-chunk sums, one slab of chunks' task times at a time.
+
+        The times of a slab come from one elementwise :meth:`_times_at`
+        call over the chunks' task indices, laid out chunk after chunk, so
+        each chunk's values equal ``_times(start, size)`` and its sum is
+        that array's ``.sum()``.
+        """
+        out = np.zeros(sizes.size, dtype=np.float64)
+        live = np.flatnonzero(sizes > 0)
+        ks = sizes[live]
+        offsets = np.cumsum(ks) - ks
+        # Value q of a slab is task ``start + q - offset`` of its chunk.
+        shifts = starts[live] - offsets
+        for i, j, m in _slabs(ks):
+            idx = np.repeat(shifts[i:j] + offsets[i], ks[i:j]) + np.arange(m)
+            times = self._times_at(idx.astype(np.float64))
+            out[live[i:j]] = _chunk_sums(times, ks[i:j])
+        return out
 
     def sample(self, start, size, rng) -> np.ndarray:
         return self._times(start, size)
 
+    def chunk_time(self, start, size, rng) -> float:
+        return float(self._times(start, size).sum()) if size > 0 else 0.0
+
     def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
         starts, sizes, reps = _validate_batch(starts, sizes, reps)
-        row = np.array([
-            self._times(int(st), int(sz)).sum() if sz > 0 else 0.0
-            for st, sz in zip(starts, sizes)
-        ])
+        row = self._chunk_row(starts, sizes)
         return np.broadcast_to(row, (reps, sizes.size))
 
     def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
-        starts = np.asarray(starts, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        # The same per-chunk ``.sum()`` as the scalar path, so the
-        # stepping kernel stays bit-identical to ``DirectSimulator``.
-        return np.array([
-            self._times(int(st), int(sz)).sum() if sz > 0 else 0.0
-            for st, sz in zip(starts, sizes)
-        ])
+        starts, sizes, _ = _validate_batch(starts, sizes, 1)
+        return self._chunk_row(starts, sizes)
 
 
 def decreasing_workload(n: int, first: float, last: float) -> LinearWorkload:
@@ -400,8 +491,9 @@ class PerTaskSampling(Workload):
     exponential's Gamma draw) so every task time is drawn individually
     and summed — the faithful path of the chunk-time sampling ablation
     (DESIGN.md §6).  This wrapper inherits the base class's per-task
-    ``chunk_times_batch``/``chunk_time``, which route through
-    :meth:`sample`, so the inner closed forms are never consulted.
+    ``chunk_time``/``chunk_times_batch``/``chunk_times_round``, which
+    route through :meth:`sample`, so the inner closed forms are never
+    consulted.
     """
 
     def __init__(self, inner: Workload):
@@ -427,6 +519,9 @@ class TraceWorkload(Workload):
     position_dependent = True
     deterministic = True
 
+    #: Prefix sums of ``times``, built on first use and never pickled.
+    _csum: np.ndarray | None = None
+
     def __init__(self, times: np.ndarray):
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1 or times.size == 0:
@@ -434,6 +529,12 @@ class TraceWorkload(Workload):
         if np.any(times < 0):
             raise ValueError("trace task times must be non-negative")
         self.times = times
+
+    def __getstate__(self) -> dict:
+        # The prefix sum is as large as the trace; pooled tasks rebuild it.
+        state = dict(vars(self))
+        state.pop("_csum", None)
+        return state
 
     @property
     def mean(self) -> float:
@@ -451,8 +552,8 @@ class TraceWorkload(Workload):
             )
         return self.times[start:start + size]
 
-    def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
-        starts, sizes, reps = _validate_batch(starts, sizes, reps)
+    def _chunk_row(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Chunk sums as prefix-sum differences (every draw path's form)."""
         if sizes.size and (
             starts.min(initial=0) < 0
             or (starts + sizes).max(initial=0) > self.times.size
@@ -460,22 +561,21 @@ class TraceWorkload(Workload):
             raise IndexError(
                 f"chunks outside trace of {self.times.size} tasks"
             )
-        csum = np.concatenate(([0.0], np.cumsum(self.times)))
-        row = csum[starts + np.maximum(sizes, 0)] - csum[starts]
+        if self._csum is None:
+            self._csum = np.concatenate(([0.0], np.cumsum(self.times)))
+        return self._csum[starts + np.maximum(sizes, 0)] - self._csum[starts]
+
+    def chunk_time(self, start, size, rng) -> float:
+        if size <= 0:
+            return 0.0
+        row = self._chunk_row(np.array([start]), np.array([size]))
+        return float(row[0])
+
+    def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
+        starts, sizes, reps = _validate_batch(starts, sizes, reps)
+        row = self._chunk_row(starts, sizes)
         return np.broadcast_to(row, (reps, sizes.size))
 
     def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
-        starts = np.asarray(starts, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if sizes.size and (
-            starts.min(initial=0) < 0
-            or (starts + sizes).max(initial=0) > self.times.size
-        ):
-            raise IndexError(
-                f"chunks outside trace of {self.times.size} tasks"
-            )
-        # Same prefix-sum differences as chunk_times_batch, cached:
-        # the stepping kernel calls this once per scheduling round.
-        if not hasattr(self, "_csum"):
-            self._csum = np.concatenate(([0.0], np.cumsum(self.times)))
-        return self._csum[starts + np.maximum(sizes, 0)] - self._csum[starts]
+        starts, sizes, _ = _validate_batch(starts, sizes, 1)
+        return self._chunk_row(starts, sizes)

@@ -55,3 +55,11 @@ class HagerupExponentialWorkload(Workload):
         for _ in range(size):
             total += -self._mean * math.log(1.0 - self._rand.erand48())
         return total
+
+    def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
+        # Rounds keep chunk_time's left-to-right sum of the stream rather
+        # than the base class's pairwise sums of ``sample``.
+        sizes = np.asarray(sizes, dtype=np.int64).tolist()
+        return np.array(
+            [self.chunk_time(0, k, rng) for k in sizes], dtype=np.float64
+        )
